@@ -292,7 +292,6 @@ class IncrementalSketch:
                 result = decode(
                     diff,
                     max_items=self.config.decode_item_limit,
-                    strategy=self.config.decode_strategy,
                 )
                 if result.success and not HierarchicalReconciler._balanced(
                     result, sketch.n_points, self.n_points

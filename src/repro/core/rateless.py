@@ -9,7 +9,8 @@ resumable :class:`~repro.iblt.decode.PeelState`, replying STOP the instant
 the union of everything received peels to empty.  No difference estimate is
 ever exchanged, and the bytes on the wire track the *true* difference size:
 a sync with ``d`` differing keys stops after ``O(d)`` cells no matter how
-large the sets are.
+large the sets are.  At the default level 0 every noisy near-duplicate is
+a differing key, so the saving holds only between noise-free replicas.
 
 The construction follows the rate-compatible / rateless IBLT line of work
 ("A rate-compatible solution to the set reconciliation problem",

@@ -87,6 +87,15 @@ class TestEstimateAndInfo:
         assert "lower bound" in out
 
 
+class TestServeArgs:
+    def test_zero_workers_is_typed(self, workload_path, capsys):
+        code = main(["serve", str(workload_path), "--workers", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: --workers must be >= 1" in captured.err
+        assert captured.out == ""
+
+
 class TestServeStore:
     """``serve --store-dir`` operator mistakes die typed: one ``error:``
     line on stderr, exit code 2, never a traceback."""

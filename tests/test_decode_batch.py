@@ -12,6 +12,7 @@ stall-inducing (non-empty 2-core) tables across backends and q.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -241,8 +242,12 @@ def test_batch_decode_bit_identical_across_backends(q):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_protocol_identical_under_both_strategies(backend):
-    """End-to-end reconcile: the strategy must not change level or repair."""
+def test_protocol_identical_under_both_strategies(backend, monkeypatch):
+    """End-to-end reconcile: the strategy must not change level or repair.
+
+    The protocol always peels with the default batch strategy; the scalar
+    reference is routed in by patching the ``decode`` it calls.
+    """
     rng = random.Random(3)
     delta = 1024
     alice = [(rng.randrange(delta), rng.randrange(delta)) for _ in range(150)]
@@ -251,10 +256,13 @@ def test_protocol_identical_under_both_strategies(backend):
         for p in alice[:146]
     ]
     outcomes = {}
+    config = ProtocolConfig(
+        delta=delta, dimension=2, k=8, seed=11, backend=backend
+    )
     for strategy in DECODE_STRATEGIES:
-        config = ProtocolConfig(
-            delta=delta, dimension=2, k=8, seed=11,
-            backend=backend, decode_strategy=strategy,
+        monkeypatch.setattr(
+            "repro.core.protocol.decode",
+            functools.partial(decode, strategy=strategy),
         )
         result = reconcile(alice, bob, config)
         outcomes[strategy] = (

@@ -287,7 +287,7 @@ class TestResilientSync:
             # resilient client must reset and complete from scratch.
             resume = RatelessResumeState()
             resume.token = handshake.resume_token(0xDEAD, 17)
-            resume.peel = PeelState(strategy=config.decode_strategy)
+            resume.peel = PeelState()
             resume.next_index = 3
             async with ReconciliationServer(
                 config, workload.alice, rateless=RATELESS

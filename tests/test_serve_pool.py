@@ -28,6 +28,7 @@ from repro.core.rateless import RatelessConfig, reconcile_rateless
 from repro.errors import ConfigError, ServerOverloadedError, SessionError
 from repro.iblt.decode import PeelState
 from repro.net.channel import SimulatedChannel
+from repro.scale import reconcile_sharded
 from repro.scale.executors import fork_available
 from repro.serve import (
     RESET,
@@ -128,7 +129,9 @@ class TestSharedCore:
         # The warmed payload is exactly what a cold encode produces.
         cold = ServerCore(CONFIG, workload.alice, rateless=RATELESS)
         assert core.encoded("one-round") == cold.encoded("one-round")
-        assert core.rateless_increment(0) == cold.rateless_increment(0)
+        assert core.reconciler("rateless").alice_increment(
+            core.points, 0
+        ) == cold.reconciler("rateless").alice_increment(cold.points, 0)
 
     def test_core_and_config_are_mutually_exclusive(self):
         workload = _workload()
@@ -143,8 +146,6 @@ class TestSharedCore:
             WorkerPoolServer(core=core, rateless=RATELESS)
         with pytest.raises(ConfigError):
             WorkerPoolServer(CONFIG, workload.alice, workers=0)
-        with pytest.raises(ConfigError):
-            WorkerPoolServer(CONFIG, workload.alice, offload="bogus")
 
     def test_one_core_many_servers_identical_payloads(self):
         """Two servers over one core (the worker arrangement, sans fork)
@@ -357,46 +358,32 @@ class TestPerWorkerShedding:
         run_scenario(scenario())
 
 
-class TestOffload:
-    @pytest.mark.parametrize("offload", ["thread", "process"])
-    def test_offload_repairs_identically(self, offload):
-        if offload == "process" and not fork_available():
-            pytest.skip("process offload requires fork")
+class TestShardedProcessExecutor:
+    def test_pool_serves_sharded_with_process_executor(self):
+        """Workers are not daemonic so a sharded session may fork the
+        process shard executor inside a worker.  Without a pre-fork warm
+        each worker encodes on demand, which forks that executor there."""
         workload = _workload()
+        config = ProtocolConfig(
+            delta=DELTA, dimension=2, k=6, seed=9,
+            shards=2, executor="process", workers=2,
+        )
         expected = sorted(
-            reconcile_rateless(
-                workload.alice, list(workload.bob), CONFIG, RATELESS
-            ).repaired
+            reconcile_sharded(workload.alice, list(workload.bob), config)
+            .repaired
         )
 
         async def scenario():
-            async with ReconciliationServer(
-                CONFIG, workload.alice, rateless=RATELESS, offload=offload,
-            ) as server:
-                for variant in ("one-round", "adaptive", "rateless"):
-                    result = await sync(
-                        *server.address, CONFIG, list(workload.bob),
-                        variant=variant, rateless=RATELESS,
-                    )
-                    if variant == "rateless":
-                        assert sorted(result.repaired) == expected
-
-        run_scenario(scenario())
-
-    def test_pool_with_process_offload(self):
-        workload = _workload()
-
-        async def scenario():
             async with WorkerPoolServer(
-                CONFIG, workload.alice, workers=2, rateless=RATELESS,
-                offload="process",
+                config, workload.alice, workers=2, warm=False,
             ) as pool:
                 host, port = pool.address
-                for variant in ("one-round", "adaptive", "rateless"):
-                    await sync(
-                        host, port, CONFIG, list(workload.bob),
-                        variant=variant, rateless=RATELESS,
+                for _ in range(3):
+                    result = await sync(
+                        host, port, config, list(workload.bob),
+                        variant="sharded",
                     )
+                    assert sorted(result.repaired) == expected
                 await pool.wait_for_sessions(3)
                 assert pool.summary()["ok"] == 3
 
