@@ -6,9 +6,9 @@ Claims under test:
    shards produces a repaired multiset **equal** to the unsharded
    protocol's (noise-free differences repair at level 0, where the
    protocol's output is fully determined) while being **>= 2x faster**
-   wall-clock on encode+decode — on every executor, including the process
-   pool.  The speedup is architectural, not parallelism (CI boxes may have
-   one core): per-shard key passes stay in numpy arrays end-to-end, probed
+   wall-clock on encode+decode, with the executor the engine picks for the
+   machine (see :mod:`repro.scale.executors`).  The speedup is
+   architectural, not parallelism (CI boxes may have one core): per-shard key passes stay in numpy arrays end-to-end, probed
    levels reuse one pass per shard, repair planning touches only decoded
    surplus cells, and the v2 columnar wire codec replaces ~3 Python calls
    per IBLT cell with two ``packbits``/``unpackbits`` kernels.
@@ -73,11 +73,10 @@ def _unsharded(n: int, true_k: int, workload):
     return _measure(engine, workload, encode, decode)
 
 
-def _sharded(n: int, true_k: int, workload, shards: int, executor: str):
+def _sharded(n: int, true_k: int, workload, shards: int):
     config = ProtocolConfig(
         delta=DELTA, dimension=2, k=2 * true_k, seed=SEED, backend=BACKEND,
-        shards=shards, workers=2 if executor != "serial" else None,
-        executor=executor,
+        shards=shards,
     )
     encode = lambda e, pts: e.encode(pts)  # noqa: E731
     decode = lambda e, payload, pts: e.decode_and_repair(payload, pts)  # noqa: E731
@@ -89,7 +88,7 @@ def _sharded(n: int, true_k: int, workload, shards: int, executor: str):
 def experiment(regimes=REGIMES) -> str:
     table = Table(
         [
-            "n", "engine", "executor", "encode (s)", "decode (s)",
+            "n", "engine", "encode (s)", "decode (s)",
             "total (s)", "speedup", "wire (kbit)", "equal",
         ],
         title=(
@@ -102,18 +101,16 @@ def experiment(regimes=REGIMES) -> str:
         enc_u, dec_u, bits_u, repaired_u = _unsharded(n, true_k, workload)
         base_total = enc_u + dec_u
         table.add_row([
-            n, "unsharded", "-", f"{enc_u:.3f}", f"{dec_u:.3f}",
+            n, "unsharded", f"{enc_u:.3f}", f"{dec_u:.3f}",
             f"{base_total:.3f}", "1.0x", f"{bits_u / 1000:.0f}", "-",
         ])
-        shard_plans = [(2, "serial"), (4, "serial"), (8, "serial"),
-                       (4, "thread"), (4, "process")]
-        for shards, executor in shard_plans:
+        for shards in (2, 4, 8):
             enc_s, dec_s, bits_s, repaired_s = _sharded(
-                n, true_k, workload, shards, executor
+                n, true_k, workload, shards
             )
             total = enc_s + dec_s
             table.add_row([
-                n, f"sharded-{shards}", executor, f"{enc_s:.3f}",
+                n, f"sharded-{shards}", f"{enc_s:.3f}",
                 f"{dec_s:.3f}", f"{total:.3f}",
                 f"{base_total / total:.1f}x", f"{bits_s / 1000:.0f}",
                 str(repaired_s == repaired_u),
@@ -132,15 +129,15 @@ def test_sharded_table(benchmark, emit):
 
 
 def test_sharded_speedup_floor(emit):
-    """The acceptance bar: 4 shards + process executor on 1e5 points must
-    repair to the exact unsharded multiset >= 2x faster."""
+    """The acceptance bar: 4 shards on 1e5 points must repair to the exact
+    unsharded multiset >= 2x faster."""
     n, true_k = 100_000, 256
     workload = _workload(n, true_k)
     enc_u, dec_u, _, repaired_u = _unsharded(n, true_k, workload)
-    enc_s, dec_s, _, repaired_s = _sharded(n, true_k, workload, 4, "process")
+    enc_s, dec_s, _, repaired_s = _sharded(n, true_k, workload, 4)
     speedup = (enc_u + dec_u) / (enc_s + dec_s)
     lines = [
-        "B2 acceptance: sharded (4 shards, process executor) vs unsharded",
+        "B2 acceptance: sharded (4 shards) vs unsharded",
         f"workload: n={n}, true_k={true_k}, delta=2^20, d=2, noise-free, "
         f"backend={BACKEND}",
         f"unsharded: encode {enc_u:.3f}s decode {dec_u:.3f}s "

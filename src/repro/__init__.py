@@ -34,8 +34,8 @@ Scaling out
 -----------
 The sharded engine (:mod:`repro.scale`) splits the point space into
 ``ProtocolConfig(shards=S)`` deterministic spatial shards, runs one
-sub-protocol per shard through a pluggable serial / thread / process
-executor, and merges the per-shard repairs — bounded per-shard memory,
+sub-protocol per shard through a serial / thread / process executor
+picked per machine, and merges the per-shard repairs — bounded per-shard memory,
 multi-core encode/decode, and per-shard sketch sizing.  See
 :func:`repro.scale.reconcile_sharded` and
 :class:`repro.scale.ShardedIncrementalSketch`.

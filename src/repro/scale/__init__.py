@@ -5,8 +5,8 @@ of the point space: a :class:`SpacePartitioner` splits ``[delta]^d`` into
 ``S`` shards by coarse grid cell (deterministically from the public coins,
 so both parties agree with no extra communication), and a
 :class:`ShardedReconciler` runs one full hierarchy sub-protocol per shard,
-encoding and decoding shards concurrently through a pluggable executor
-(serial / thread / process pool).
+encoding and decoding shards concurrently through an executor (serial,
+thread or process pool) picked from the machine and the shard work.
 
 Because shard boundaries follow the shared shifted grid, every fine-level
 cell lies inside exactly one shard; each shard's sub-protocol therefore

@@ -62,7 +62,7 @@ from repro.iblt.table import IBLT
 from repro.net.bits import BitReader, BitWriter
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
-from repro.scale.executors import ShardExecutor, make_executor
+from repro.scale.executors import ShardExecutor, executor_kind, make_executor
 from repro.scale.partition import SpacePartitioner
 from repro.scale.wire import (
     SHARD_MAGIC,
@@ -86,7 +86,7 @@ def shard_protocol_config(config: ProtocolConfig) -> ProtocolConfig:
     if config.shards == 1:
         return config
     shard_k = max(1, -(-config.k // config.shards))
-    return replace(config, k=shard_k, shards=1, workers=None, executor="serial")
+    return replace(config, k=shard_k, shards=1)
 
 
 def _effective_backend(config: ProtocolConfig) -> str:
@@ -107,15 +107,18 @@ def _shard_reconciler(config: ProtocolConfig) -> HierarchicalReconciler:
 # point sequences), so the process executor can ship them to workers.
 
 
+def _vectorized(config: ProtocolConfig, grid: ShiftedGridHierarchy) -> bool:
+    """True when shard tasks take the numpy fast path (int64-safe keys)."""
+    return _effective_backend(config) == "numpy" and all(
+        grid.key_bits(level) <= 63 for level in config.sketch_levels
+    )
+
+
 def _fast_pass(reconciler: HierarchicalReconciler, points) -> VectorKeyPass | None:
     """A vectorized key pass when this shard qualifies for the fast path."""
-    config = reconciler.config
-    if _effective_backend(config) != "numpy":
+    if not _vectorized(reconciler.config, reconciler.grid):
         return None
-    grid = reconciler.grid
-    if any(grid.key_bits(level) > 63 for level in config.sketch_levels):
-        return None
-    return grid.vector_key_pass(points)
+    return reconciler.grid.vector_key_pass(points)
 
 
 def _encode_shard_task(args) -> bytes:
@@ -365,8 +368,9 @@ class ShardedReconciler:
     """Both endpoints of the sharded one-round protocol.
 
     Usable as a context manager; :meth:`close` releases the executor pool.
-    The executor is built lazily from ``config.executor`` / ``config.workers``
-    on first use, so constructing the reconciler stays cheap.
+    The executor is built lazily on first use, so constructing the
+    reconciler stays cheap; :attr:`executor_kind` names the kind this
+    process picks (see :mod:`repro.scale.executors`).
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -379,15 +383,20 @@ class ShardedReconciler:
     # ------------------------------------------------------------ lifecycle
 
     @property
+    def _pure_python(self) -> bool:
+        return not _vectorized(self.shard_config, self.grid)
+
+    @property
+    def executor_kind(self) -> str:
+        """``serial``, ``thread`` or ``process``: the executor this
+        process picks for these shard tasks."""
+        return executor_kind(self.config.shards, self._pure_python)
+
+    @property
     def executor(self) -> ShardExecutor:
         """The shard executor (built on first use)."""
         if self._executor is None:
-            self._executor = make_executor(
-                self.config.executor,
-                self.config.workers,
-                self.config.shards,
-                _effective_backend(self.config),
-            )
+            self._executor = make_executor(self.config.shards, self._pure_python)
         return self._executor
 
     def close(self) -> None:

@@ -1,24 +1,21 @@
-"""Pluggable shard executors: serial, thread pool, process pool.
+"""Shard executors: serial, thread pool, process pool.
 
-The sharded engine maps one task per shard over an executor.  Which kind
-wins depends on the machine and the IBLT backend:
+The sharded engine maps one task per shard over an executor.  The kind is
+never configured: :func:`executor_kind` picks it from what this process
+can observe, with a pool width of ``min(shards, cpu_count)``:
 
-* ``serial`` — no concurrency, no overhead.  The right choice on
-  single-core machines and for small shards, and always a valid fallback.
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.  Pays no
-  serialization cost; useful with the numpy backend, whose batch kernels
-  release the GIL for parts of their work.
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``fork`` start method where available, so workers inherit the loaded
-  library instead of re-importing it).  True multi-core parallelism for the
-  pure-Python backend at the cost of shipping shard inputs and results
-  between processes; the engine keeps those picklable and small.
-* ``auto`` — ``serial`` on one core; otherwise ``thread`` for the numpy
-  backend and ``process`` for the pure one.
+* ``serial`` when that width is 1 — no concurrency, no overhead;
+* ``process`` when the shard tasks run pure Python (no numpy, the pure
+  backend, or keys wider than 63 bits) and this process may fork — a
+  ``fork`` :class:`~concurrent.futures.ProcessPoolExecutor`, whose workers
+  inherit the loaded library; only processes escape the GIL there;
+* ``thread`` otherwise — a :class:`~concurrent.futures.ThreadPoolExecutor`,
+  which pickles nothing while the numpy kernels release the GIL for part
+  of their work.
 
-Executors are private to each party (they never affect the wire), mirror
-the ``backend`` selection philosophy, and are constructed lazily so a
-:class:`~repro.core.config.ProtocolConfig` stays cheap to build.
+Executors are private to each party (they never affect the wire) and are
+constructed lazily so a :class:`~repro.core.config.ProtocolConfig` stays
+cheap to build.
 """
 
 from __future__ import annotations
@@ -26,17 +23,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from repro.errors import ConfigError
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def default_workers(shards: int) -> int:
-    """Executor width when the config leaves ``workers`` unset."""
-    return max(1, min(shards, os.cpu_count() or 1))
 
 
 def fork_available() -> bool:
@@ -46,8 +36,30 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _width(shards: int) -> int:
+    return max(1, min(shards, os.cpu_count() or 1))
+
+
+def executor_kind(shards: int, pure_python: bool) -> str:
+    """The executor kind for ``shards`` tasks on this machine and process.
+
+    ``pure_python`` says the shard tasks run without the numpy fast path.
+    A daemonic process may not have children, so it never gets a pool of
+    processes.
+    """
+    if _width(shards) <= 1:
+        return "serial"
+    if (
+        pure_python
+        and fork_available()
+        and not multiprocessing.current_process().daemon
+    ):
+        return "process"
+    return "thread"
+
+
 class ShardExecutor:
-    """Minimal executor interface the sharded engine relies on."""
+    """Run shard tasks inline, in order; the interface every kind offers."""
 
     kind = "serial"
 
@@ -65,19 +77,23 @@ class ShardExecutor:
         self.close()
 
 
-class SerialExecutor(ShardExecutor):
-    """Run shard tasks inline, in order."""
+class PoolExecutor(ShardExecutor):
+    """Run shard tasks on a thread or (``fork``) process pool.
 
-    kind = "serial"
+    For ``kind="process"``, task functions and arguments must be picklable;
+    the engine's shard tasks are module-level functions over configs, byte
+    strings, and point sequences.
+    """
 
-
-class ThreadExecutor(ShardExecutor):
-    """Run shard tasks on a shared thread pool."""
-
-    kind = "thread"
-
-    def __init__(self, workers: int):
-        self._pool = ThreadPoolExecutor(max_workers=workers)
+    def __init__(self, kind: str, workers: int):
+        self.kind = kind
+        if kind == "thread":
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+        else:
+            self._pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+            )
 
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         return list(self._pool.map(fn, tasks))
@@ -86,67 +102,10 @@ class ThreadExecutor(ShardExecutor):
         self._pool.shutdown(wait=True)
 
 
-class ProcessExecutor(ShardExecutor):
-    """Run shard tasks on a process pool (``fork`` where the OS offers it).
-
-    Task functions and arguments must be picklable; the engine's shard
-    tasks are module-level functions over configs, byte strings, and point
-    sequences.
-    """
-
-    kind = "process"
-
-    def __init__(self, workers: int):
-        context = multiprocessing.get_context(
-            "fork" if fork_available() else None
-        )
-        self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        return list(self._pool.map(fn, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def _auto_kind(backend: str) -> str:
-    if (os.cpu_count() or 1) <= 1:
-        return "serial"
-    # The numpy kernels release the GIL for part of their work and threads
-    # skip all pickling; the pure backend only scales across processes.
-    return "thread" if backend == "numpy" else "process"
-
-
-def make_executor(
-    kind: str, workers: int | None, shards: int, backend: str = "auto"
-) -> ShardExecutor:
-    """Build the executor a config asks for.
-
-    ``kind="auto"`` resolves from the machine and backend (see module
-    docstring); explicit kinds are honoured as-is.
-    """
-    if kind == "auto":
-        kind = _auto_kind(backend)
-    if kind not in ("serial", "thread", "process"):
-        raise ConfigError(f"unknown executor kind {kind!r}")
-    resolved_workers = workers if workers is not None else default_workers(shards)
-    if kind == "serial" or (resolved_workers <= 1 and kind == "thread"):
-        # A one-worker thread pool is pure overhead; a one-worker process
-        # pool is honoured (callers may want the isolation).
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(resolved_workers)
-    return ProcessExecutor(resolved_workers)
-
-
-def executors_available() -> tuple[str, ...]:
-    """Executor kinds constructible on this machine (for CLI help/info)."""
-    kinds = ["serial", "thread"]
-    try:
-        # Process pools need working multiprocessing synchronisation
-        # primitives (sem_open); sandboxes without them fail this import.
-        import multiprocessing.synchronize  # noqa: F401
-    except ImportError:  # pragma: no cover - platform-specific
-        return tuple(kinds)
-    kinds.append("process")
-    return tuple(kinds)
+def make_executor(shards: int, pure_python: bool) -> ShardExecutor:
+    """Build the executor :func:`executor_kind` picks, ``min(shards,
+    cpu_count)`` wide."""
+    kind = executor_kind(shards, pure_python)
+    if kind == "serial":
+        return ShardExecutor()
+    return PoolExecutor(kind, _width(shards))

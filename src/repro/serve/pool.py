@@ -361,8 +361,9 @@ class WorkerPoolServer:
         self._conns[index] = parent_conn
         self._ready[index] = False
         # Not daemonic: a daemonic process may not fork children of its
-        # own, and a sharded session in a worker may fork the process
-        # shard executor (executor="process").  Orphan protection comes
+        # own, and a sharded session in a worker forks the process shard
+        # executor when its shard tasks run pure Python (no numpy, the
+        # pure backend, or keys wider than 63 bits).  Orphan protection comes
         # from the worker's parent watcher instead (see _worker_serve).
         process = self._ctx.Process(
             target=_worker_main,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core.config import ProtocolConfig
@@ -16,7 +18,8 @@ from repro.scale import (
     reconcile_sharded,
 )
 from repro.scale.engine import SHARD_MAGIC, SHARD_VERSION, shard_protocol_config
-from repro.scale.executors import make_executor
+from repro.scale import executors
+from repro.scale.executors import PoolExecutor, ShardExecutor, make_executor
 from repro.scale.partition import partition_level
 from repro.workloads.synthetic import perturbed_pair
 
@@ -132,8 +135,17 @@ class TestShardedReconciler:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_executors_agree(self, executor):
         w = _workload(noise=0)
-        config = _config(w, workers=2, executor=executor)
-        result = reconcile_sharded(w.alice, w.bob, config)
+        config = _config(w)
+        sketch = ShardedIncrementalSketch(config)
+        sketch.insert_all(w.alice)
+        with ShardedReconciler(config) as engine:
+            engine._executor = (
+                ShardExecutor() if executor == "serial"
+                else PoolExecutor(executor, 2)
+            )
+            payload = engine.encode(w.alice)
+            result = engine.decode_and_repair(payload, w.bob)
+        assert payload == sketch.encode()
         assert sorted(result.repaired) == sorted(w.alice)
 
     def test_centroid_strategy(self):
@@ -349,26 +361,98 @@ class TestShardedIncremental:
 # ---------------------------------------------------------------- executors
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the executor selection reads."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(executors.os, "cpu_count", lambda: count)
+
+    return set_cpus
+
+
+def _engine_kind(dimension, backend="auto", shards=4):
+    config = ProtocolConfig(
+        delta=2**16, dimension=dimension, k=16, shards=shards, backend=backend
+    )
+    return ShardedReconciler(config).executor_kind
+
+
+def _kind_in_daemon(_):
+    return _engine_kind(2, backend="pure")
+
+
+def _repair_in_daemon(args):
+    return sorted(reconcile_sharded(*args).repaired)
+
+
+needs_fork = pytest.mark.skipif(
+    not executors.fork_available(), reason="process pools need fork"
+)
+
+
 class TestExecutors:
-    def test_make_serial(self):
-        executor = make_executor("serial", None, 4)
+    def test_make_serial(self, cpus):
+        cpus(1)
+        executor = make_executor(4, pure_python=True)
+        assert executor.kind == "serial"
         assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
         executor.close()
 
-    def test_make_thread_preserves_order(self):
-        with make_executor("thread", 2, 4) as executor:
-            assert executor.kind in ("thread", "serial")
+    def test_make_thread_preserves_order(self, cpus):
+        cpus(2)
+        with make_executor(4, pure_python=False) as executor:
+            assert executor.kind == "thread"
             assert executor.map(lambda x: -x, list(range(10))) == [
                 -x for x in range(10)
             ]
 
-    def test_auto_resolves(self):
-        with make_executor("auto", None, 4, "pure") as executor:
-            assert executor.kind in ("serial", "thread", "process")
+    @needs_fork
+    def test_auto_resolves(self, cpus):
+        cpus(2)
+        assert executors.executor_kind(4, pure_python=True) == "process"
+        assert executors.executor_kind(4, pure_python=False) == "thread"
+        assert executors.executor_kind(1, pure_python=True) == "serial"
+        cpus(1)
+        assert executors.executor_kind(4, pure_python=True) == "serial"
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            make_executor("gpu", None, 4)
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+    def test_wide_keys_resolve_to_process(self, cpus):
+        # Δ=2^16: d=2 keys are 52 bits (numpy fast path); d=3 keys are 68
+        # bits, so every table runs on the pure backend.
+        cpus(2)
+        assert _engine_kind(2) == "thread"
+        if executors.fork_available():
+            assert _engine_kind(3) == "process"
+
+    @needs_fork
+    def test_pure_backend_resolves_to_process(self, cpus):
+        cpus(2)
+        assert _engine_kind(2, backend="pure") == "process"
+        assert _engine_kind(2, backend="pure", shards=1) == "serial"
+
+    @needs_fork
+    def test_daemonic_process_never_forks(self, cpus):
+        cpus(2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            assert pool.map(_kind_in_daemon, [0]) == ["thread"]
+        finally:
+            pool.close()
+            pool.join()
+
+    @needs_fork
+    def test_pure_sharded_sync_in_daemonic_worker(self, cpus):
+        cpus(2)
+        w = _workload(n=200, true_k=4, noise=0)
+        config = _config(w, shards=2, backend="pure")
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            repaired = pool.apply(_repair_in_daemon, ((w.alice, w.bob, config),))
+        finally:
+            pool.close()
+            pool.join()
+        assert repaired == sorted(w.alice)
 
 
 # ------------------------------------------------------------------- config
@@ -378,14 +462,6 @@ class TestConfigKnobs:
     def test_shards_validated(self):
         with pytest.raises(ConfigError):
             ProtocolConfig(delta=256, dimension=1, k=2, shards=0)
-
-    def test_workers_validated(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(delta=256, dimension=1, k=2, workers=0)
-
-    def test_executor_validated(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(delta=256, dimension=1, k=2, executor="quantum")
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ConfigError):

@@ -124,7 +124,6 @@ class TestHandshakeParsing:
         assert handshake.config_digest(base) == handshake.config_digest(
             ProtocolConfig(
                 delta=DELTA, dimension=2, k=6, seed=9, backend="pure",
-                workers=2, executor="serial",
             )
         ), "private knobs must not change the digest"
         assert handshake.config_digest(base) != handshake.config_digest(

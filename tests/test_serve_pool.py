@@ -28,7 +28,8 @@ from repro.core.rateless import RatelessConfig, reconcile_rateless
 from repro.errors import ConfigError, ServerOverloadedError, SessionError
 from repro.iblt.decode import PeelState
 from repro.net.channel import SimulatedChannel
-from repro.scale import reconcile_sharded
+from repro.scale import engine as scale_engine
+from repro.scale import executors, reconcile_sharded
 from repro.scale.executors import fork_available
 from repro.serve import (
     RESET,
@@ -359,14 +360,30 @@ class TestPerWorkerShedding:
 
 
 class TestShardedProcessExecutor:
-    def test_pool_serves_sharded_with_process_executor(self):
+    def test_pool_serves_sharded_with_process_executor(
+        self, monkeypatch, tmp_path
+    ):
         """Workers are not daemonic so a sharded session may fork the
         process shard executor inside a worker.  Without a pre-fork warm
-        each worker encodes on demand, which forks that executor there."""
+        each worker encodes on demand, which forks that executor there:
+        pure-backend shard tasks resolve to ``process``."""
         workload = _workload()
         config = ProtocolConfig(
-            delta=DELTA, dimension=2, k=6, seed=9,
-            shards=2, executor="process", workers=2,
+            delta=DELTA, dimension=2, k=6, seed=9, backend="pure", shards=2,
+        )
+        monkeypatch.setattr(executors.os, "cpu_count", lambda: 2)
+        log = tmp_path / "kinds"
+        make_executor = scale_engine.make_executor
+
+        def recording_make_executor(*args):
+            executor = make_executor(*args)
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {executor.kind}\n")
+            return executor
+
+        # Forked workers inherit the patch and append their picks to ``log``.
+        monkeypatch.setattr(
+            scale_engine, "make_executor", recording_make_executor
         )
         expected = sorted(
             reconcile_sharded(workload.alice, list(workload.bob), config)
@@ -388,3 +405,9 @@ class TestShardedProcessExecutor:
                 assert pool.summary()["ok"] == 3
 
         run_scenario(scenario())
+        worker_kinds = {
+            kind
+            for pid, kind in (line.split() for line in log.read_text().splitlines())
+            if int(pid) != os.getpid()
+        }
+        assert worker_kinds == {"process"}

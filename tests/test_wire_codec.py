@@ -237,9 +237,7 @@ def test_strata_estimator_identical(backend, q, seed):
 def test_sharded_frame_identical(seed):
     rng = random.Random(seed)
     points = [(rng.randrange(2048), rng.randrange(2048)) for _ in range(300)]
-    config = ProtocolConfig(
-        delta=2048, dimension=2, k=8, seed=seed, shards=4, executor="serial"
-    )
+    config = ProtocolConfig(delta=2048, dimension=2, k=8, seed=seed, shards=4)
 
     def produce():
         with ShardedReconciler(config) as engine:
