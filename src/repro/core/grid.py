@@ -21,7 +21,7 @@ without any value field.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 try:  # numpy accelerates the batch key pass; everything works without it
     import numpy as _np
@@ -32,6 +32,17 @@ from repro.emd.metrics import Point
 from repro.errors import CapacityExceeded, ConfigError
 
 Cell = tuple[int, ...]
+
+
+def as_points(points) -> Sequence[Point]:
+    """A point block as the tuple sequence the pure-Python paths expect.
+
+    An ``(n, d)`` integer array (a shard's block) becomes a list of int
+    tuples; any other sequence is returned as it is.
+    """
+    if hasattr(points, "tolist"):
+        return [tuple(row) for row in points.tolist()]
+    return points
 
 
 class ShiftedGridHierarchy:
@@ -305,6 +316,20 @@ class ShiftedGridHierarchy:
         order = _np.lexsort(shifted.T[::-1])  # first coordinate is primary
         return VectorKeyPass(self, shifted[order], order)
 
+    def vectorized(self, backend: str, levels: Sequence[int]) -> bool:
+        """True when one-round work over ``levels`` takes the numpy fast path.
+
+        That needs tables on the numpy backend (named, or ``"auto"`` with
+        numpy importable) and every level's packed keys inside int64.
+        Otherwise — no numpy, the pure backend, a custom backend, or keys
+        wider than 63 bits — callers run the pure-Python reference path.
+        """
+        return (
+            _np is not None
+            and backend in ("numpy", "auto")
+            and all(self.key_bits(level) <= 63 for level in levels)
+        )
+
     def _level_keys_vectorized(
         self, points: Sequence[Point], levels: Sequence[int]
     ) -> dict[int, list[int]] | None:
@@ -349,6 +374,7 @@ class VectorKeyPass:
         self.order = order
         self._keys: dict[int, "_np.ndarray"] = {}
         self._cell_keys: dict[int, "_np.ndarray"] = {}
+        self._by_cell: dict[int, tuple["_np.ndarray", "_np.ndarray"]] = {}
 
     def __len__(self) -> int:
         return self._shifted.shape[0]
@@ -357,11 +383,37 @@ class VectorKeyPass:
         """True when this level's packed keys fit int64 arithmetic."""
         return self.grid.key_bits(level) <= 63
 
-    def sorted_point(self, index: int) -> Point:
-        """The ``index``-th point in sorted order (shift removed)."""
-        shift = self.grid.shift
-        row = self._shifted[index]
-        return tuple(int(row[i]) - shift[i] for i in range(self.grid.dimension))
+    def bucket(self, level: int, cell_id: int) -> "PointRows":
+        """The points of one cell (shift removed), in bucket order.
+
+        ``cell_id`` is a packed cell (:meth:`ShiftedGridHierarchy.cell_id`);
+        an empty cell gives an empty sequence.  The level's cell-key array
+        is argsorted once, so each lookup is a binary search.  The stable
+        sort keeps each cell's points in the pass's coordinate order, which
+        is the order :meth:`ShiftedGridHierarchy.bucket_points` sorts a
+        bucket into: the two buckets are equal point for point.
+        """
+        grouped = self._by_cell.get(level)
+        if grouped is None:
+            grouped = self._by_cell[level] = self._group(level)
+        by_cell, sorted_cells = grouped
+        lo = int(_np.searchsorted(sorted_cells, cell_id, side="left"))
+        hi = int(_np.searchsorted(sorted_cells, cell_id, side="right"))
+        return PointRows(
+            self._shifted[by_cell[lo:hi]]
+            - _np.asarray(self.grid.shift, dtype=_np.int64)
+        )
+
+    def _group(self, level: int) -> tuple["_np.ndarray", "_np.ndarray"]:
+        """Stable argsort of the level's cell keys, and the sorted keys.
+
+        Equal cells need not be adjacent in coordinate order (a cell spans
+        many first coordinates); the stable sort groups them while keeping
+        each group in coordinate order.
+        """
+        cell_key = self.cell_keys(level)
+        by_cell = _np.argsort(cell_key, kind="stable")
+        return by_cell, cell_key[by_cell]
 
     def cell_keys(self, level: int) -> "_np.ndarray":
         """Packed cell id per point (sorted order), without occurrence bits."""
@@ -392,13 +444,10 @@ class VectorKeyPass:
         occ_bits = self.grid.occupancy_bits
         occ_limit = 1 << occ_bits
         # Occurrence rank = number of earlier points (in sorted order)
-        # sharing the cell.  Equal cells need not be adjacent, so group
-        # via a stable argsort of the group ids.
-        _, inverse = _np.unique(cell_key, return_inverse=True)
-        grouped = _np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[grouped]
+        # sharing the cell: the position inside the cell's group.
+        grouped, sorted_cells = self._group(level)
         starts = _np.flatnonzero(
-            _np.concatenate(([True], sorted_inverse[1:] != sorted_inverse[:-1]))
+            _np.concatenate(([True], sorted_cells[1:] != sorted_cells[:-1]))
         )
         sizes = _np.diff(_np.append(starts, n))
         ranks = _np.empty(n, dtype=_np.int64)
@@ -411,3 +460,25 @@ class VectorKeyPass:
         keys = (cell_key << occ_bits) | ranks
         self._keys[level] = keys
         return keys
+
+
+class PointRows(Sequence):
+    """An ``(n, d)`` integer array read as a sequence of point tuples.
+
+    Rows become tuples only when indexed, so a caller that slices off a
+    few rows of a large bucket converts only those.
+    """
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [tuple(row) for row in self._rows[index].tolist()]
+        return tuple(self._rows[index].tolist())
+
+    def __iter__(self):
+        return iter(self[:])

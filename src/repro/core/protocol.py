@@ -16,7 +16,14 @@ a cell diameter ``d · 2^{ℓ*}``, for a total of
 
 Bob probes levels with a binary search (decodability is monotone in the
 level up to peeling-threshold noise), so his work is ``O(n log log Δ)``
-hashes rather than ``O(n log Δ)``.
+hashes rather than ``O(n log Δ)``.  That bound needs Bob to sort his points
+once per sync, not once per probe: on the numpy fast path
+:meth:`HierarchicalReconciler.decode_plan` builds one
+:class:`~repro.core.grid.VectorKeyPass` and each probe pays only the
+level's bit arithmetic, occurrence ranking and table build; the repair
+planner then reads only the decoded surplus cells.  The pure-Python
+reference path (no numpy, ``backend="pure"``, or keys wider than 63 bits)
+keys the points per probe and gives the same result.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy
-from repro.core.repair import RepairPlan, apply_repair, plan_repair
+from repro.core.grid import ShiftedGridHierarchy, as_points
+from repro.core.repair import RepairPlan, apply_repair, check_strategy, plan_repair
 from repro.core.sketch import (
     HierarchySketch,
     build_level_sketches,
@@ -37,6 +44,9 @@ from repro.iblt.decode import DecodeResult, decode
 from repro.iblt.table import IBLT
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
+
+#: Bob's level-search orders (see :meth:`HierarchicalReconciler.decode_and_repair`).
+PROBES = ("binary", "linear")
 
 
 @dataclass
@@ -72,6 +82,21 @@ class ReconcileResult:
     def exact(self) -> bool:
         """True when the repair happened at level 0 (centres are exact)."""
         return self.level == 0
+
+
+@dataclass
+class LevelDecode:
+    """Bob's decoded sketch and edit script, before the repair is applied.
+
+    Returned by :meth:`HierarchicalReconciler.decode_plan`; small and
+    picklable, so a shard task can send it back from a worker process.
+    """
+
+    level: int
+    levels_probed: list[int]
+    plan: RepairPlan
+    alice_surplus: int
+    bob_surplus: int
 
 
 class HierarchicalReconciler:
@@ -127,82 +152,145 @@ class HierarchicalReconciler:
             level; ``"linear"`` scans every level finest-first (used by
             tests and ablations to validate the search).
         """
-        if probe not in ("binary", "linear"):
+        decoded = self.decode_plan(payload, bob_points, strategy, probe)
+        return ReconcileResult(
+            repaired=apply_repair(bob_points, decoded.plan),
+            level=decoded.level,
+            alice_surplus=decoded.alice_surplus,
+            bob_surplus=decoded.bob_surplus,
+            plan=decoded.plan,
+            levels_probed=decoded.levels_probed,
+        )
+
+    def decode_plan(
+        self,
+        payload: bytes,
+        bob_points,
+        strategy: str = "occurrence",
+        probe: str = "binary",
+        read_sketch=None,
+    ) -> LevelDecode:
+        """Parse a payload, find the finest decodable level, plan the repair.
+
+        The one probe-and-plan routine behind :meth:`decode_and_repair` and
+        every shard of :mod:`repro.scale`.  ``read_sketch(payload, config,
+        grid)`` parses the payload (default: the v1
+        :meth:`HierarchySketch.from_bytes`; the sharded engine passes its
+        v2 shard reader).  ``bob_points`` is a tuple sequence or an
+        ``(n, d)`` integer array.  The plan is returned, not applied.
+
+        On the fast path (:meth:`ShiftedGridHierarchy.vectorized`) Bob's
+        points are keyed once per call: one
+        :class:`~repro.core.grid.VectorKeyPass` sorts them, every probed
+        level reuses it, and the planner looks up only the decoded surplus
+        cells.  Otherwise each probe builds Bob's table with
+        :meth:`level_table` and the planner buckets every point (the
+        pure-Python reference path).  Both paths give the same level, probe
+        order and plan.
+        """
+        check_strategy(strategy)
+        if probe not in PROBES:
             raise ReconciliationFailure(f"unknown probe mode {probe!r}")
-        sketch = HierarchySketch.from_bytes(payload, self.config, self.grid)
-        by_level = {level_sketch.level: level_sketch for level_sketch in sketch.levels}
-        levels = sorted(by_level)
-        probed: list[int] = []
-        outcomes: dict[int, DecodeResult] = {}
+        read = read_sketch if read_sketch is not None else HierarchySketch.from_bytes
+        sketch = read(payload, self.config, self.grid)
+        levels = [level_sketch.level for level_sketch in sketch.levels]
+        key_pass = (
+            self.grid.vector_key_pass(bob_points)
+            if self.grid.vectorized(self.config.backend, levels)
+            else None
+        )
+        if key_pass is None:
+            bob_points = as_points(bob_points)
 
-        def attempt(level: int) -> DecodeResult:
-            if level not in outcomes:
-                probed.append(level)
-                bob_table = self.level_table(
-                    bob_points, level, by_level[level].table.config.cells
-                )
-                diff = by_level[level].table.subtract(bob_table)
-                result = decode(
-                    diff,
-                    max_items=self.config.decode_item_limit,
-                )
-                if result.success and not self._balanced(
-                    result, sketch.n_points, len(bob_points)
-                ):
-                    result.success = False  # checksum-evading false decode
-                outcomes[level] = result
-            return outcomes[level]
+            def bob_table(level: int, alice_table: IBLT) -> IBLT:
+                return self.level_table(bob_points, level, alice_table.config.cells)
+        else:
+            def bob_table(level: int, alice_table: IBLT) -> IBLT:
+                table = IBLT(alice_table.config, backend=self.config.backend)
+                table.insert_many(key_pass.keys(level))
+                return table
 
-        chosen = self._finest_decodable(levels, attempt, probe)
+        chosen, result, probed = probe_levels(
+            sketch, len(bob_points), bob_table, self.config.decode_item_limit,
+            probe,
+        )
         if chosen is None:
             raise ReconciliationFailure(
                 f"no level of the hierarchy sketch decoded "
                 f"(difference exceeds budget k={self.config.k}?)"
             )
-        result = outcomes[chosen]
         plan = plan_repair(
             bob_points, result.alice_keys, result.bob_keys,
-            self.grid, chosen, strategy,
+            self.grid, chosen, strategy, key_pass=key_pass,
         )
-        repaired = apply_repair(bob_points, plan)
-        return ReconcileResult(
-            repaired=repaired,
+        return LevelDecode(
             level=chosen,
+            levels_probed=probed,
+            plan=plan,
             alice_surplus=len(result.alice_keys),
             bob_surplus=len(result.bob_keys),
-            plan=plan,
-            levels_probed=probed,
         )
 
-    @staticmethod
-    def _balanced(result: DecodeResult, n_alice: int, n_bob: int) -> bool:
-        return len(result.alice_keys) - len(result.bob_keys) == n_alice - n_bob
 
-    @staticmethod
-    def _finest_decodable(levels, attempt, probe: str) -> int | None:
-        """Locate the smallest (finest) level whose table peels."""
-        if probe == "linear":
-            for level in levels:
-                if attempt(level).success:
-                    return level
-            return None
-        # Binary search: assume failure below the threshold, success above.
-        if attempt(levels[0]).success:
-            return levels[0]
-        low, high = 0, len(levels) - 1  # low fails; probe for first success
-        if not attempt(levels[high]).success:
-            # Coarsest failed too; fall back to scanning for any success.
-            for level in levels[1:-1]:
-                if attempt(level).success:
-                    return level
-            return None
-        while high - low > 1:
-            mid = (low + high) // 2
-            if attempt(levels[mid]).success:
-                high = mid
-            else:
-                low = mid
-        return levels[high]
+def probe_levels(
+    sketch, n_bob: int, bob_table, max_items: int, probe: str = "binary"
+) -> tuple[int | None, DecodeResult | None, list[int]]:
+    """The probe loop: the finest level of ``sketch`` whose difference peels.
+
+    ``sketch`` has ``n_points`` and ``levels`` (:class:`LevelSketch`
+    list); ``bob_table(level, alice_table)`` returns the table subtracted
+    from Alice's at that level.  A decode whose surplus counts disagree
+    with ``sketch.n_points - n_bob`` is a checksum-evading false decode and
+    counts as a failure.  Returns the chosen level (``None`` when no level
+    peels), its decode result, and the levels attempted in probe order.
+    """
+    by_level = {level_sketch.level: level_sketch.table for level_sketch in sketch.levels}
+    probed: list[int] = []
+    outcomes: dict[int, DecodeResult] = {}
+
+    def attempt(level: int) -> DecodeResult:
+        if level not in outcomes:
+            probed.append(level)
+            alice_table = by_level[level]
+            result = decode(
+                alice_table.subtract(bob_table(level, alice_table)),
+                max_items=max_items,
+            )
+            surplus = len(result.alice_keys) - len(result.bob_keys)
+            if result.success and surplus != sketch.n_points - n_bob:
+                result.success = False  # checksum-evading false decode
+            outcomes[level] = result
+        return outcomes[level]
+
+    levels = sorted(by_level)
+    chosen = _finest_decodable(levels, attempt, probe) if levels else None
+    return chosen, outcomes.get(chosen), probed
+
+
+def _finest_decodable(levels, attempt, probe: str) -> int | None:
+    """Locate the smallest (finest) level whose table peels."""
+    if probe == "linear":
+        for level in levels:
+            if attempt(level).success:
+                return level
+        return None
+    # Binary search: assume failure below the threshold, success above.
+    if attempt(levels[0]).success:
+        return levels[0]
+    low, high = 0, len(levels) - 1  # low fails; probe for first success
+    if not attempt(levels[high]).success:
+        # Coarsest failed too; fall back to scanning for any success.
+        for level in levels[1:-1]:
+            if attempt(level).success:
+                return level
+        return None
+    while high - low > 1:
+        mid = (low + high) // 2
+        if attempt(levels[mid]).success:
+            high = mid
+        else:
+            low = mid
+    return levels[high]
 
 
 def reconcile(

@@ -27,8 +27,9 @@ are provided; the ablation benchmark compares them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from collections.abc import Sequence
 
-from repro.core.grid import Cell, ShiftedGridHierarchy
+from repro.core.grid import Cell, ShiftedGridHierarchy, VectorKeyPass
 from repro.emd.metrics import Point, distance
 from repro.errors import ConfigError, ReconciliationFailure
 
@@ -62,6 +63,14 @@ def _group_surplus(keys: list[int], grid: ShiftedGridHierarchy, level: int) -> d
     return surplus
 
 
+def check_strategy(strategy: str) -> None:
+    """Reject an unknown victim-selection strategy with a ``ConfigError``."""
+    if strategy not in REPAIR_STRATEGIES:
+        raise ConfigError(
+            f"strategy must be one of {REPAIR_STRATEGIES}, got {strategy!r}"
+        )
+
+
 def plan_repair(
     bob_points: list[Point],
     alice_keys: list[int],
@@ -69,8 +78,14 @@ def plan_repair(
     grid: ShiftedGridHierarchy,
     level: int,
     strategy: str = "occurrence",
+    key_pass: VectorKeyPass | None = None,
 ) -> RepairPlan:
     """Build the edit script for Bob's set from the decoded key difference.
+
+    Without ``key_pass`` every one of Bob's points is bucketed at ``level``.
+    With Bob's :class:`~repro.core.grid.VectorKeyPass` (the fast path;
+    ``bob_points`` is then unused) only the decoded surplus cells are
+    looked up.  Both see the same sorted buckets, so the plans are equal.
 
     Raises
     ------
@@ -78,19 +93,24 @@ def plan_repair(
         If a decoded Bob-surplus key does not correspond to a point Bob
         actually holds — the decode was corrupt.
     """
-    if strategy not in REPAIR_STRATEGIES:
-        raise ConfigError(
-            f"strategy must be one of {REPAIR_STRATEGIES}, got {strategy!r}"
-        )
+    check_strategy(strategy)
     plan = RepairPlan(level=level)
 
     for cell, occurrences in _group_surplus(alice_keys, grid, level).items():
         centre = grid.center(cell, level)
         plan.additions.extend(centre for _ in occurrences)
 
-    buckets = grid.bucket_points(bob_points, level)
+    if key_pass is None:
+        bucket_of = grid.bucket_points(bob_points, level).get
+    else:
+        occ_bits = grid.occupancy_bits
+
+        def bucket_of(cell: Cell) -> Sequence[Point] | None:
+            cell_id = grid.pack_key(cell, 0, level) >> occ_bits
+            return key_pass.bucket(level, cell_id) or None
+
     for cell, occurrences in _group_surplus(bob_keys, grid, level).items():
-        bucket = buckets.get(cell)
+        bucket = bucket_of(cell)
         if bucket is None:
             raise ReconciliationFailure(
                 f"decoded Bob-surplus key names empty cell {cell} at level {level}"
@@ -106,12 +126,13 @@ def plan_repair(
     return plan
 
 
-def _choose_victims(bucket: list[Point], count: int, strategy: str) -> list[Point]:
+def _choose_victims(bucket: Sequence[Point], count: int, strategy: str) -> list[Point]:
     """Pick which of Bob's in-cell points the repair deletes."""
     if strategy == "occurrence":
         # The surplus ranks are always the top of the sorted bucket; deleting
         # the highest-ranked points mirrors the key enumeration exactly.
         return bucket[len(bucket) - count:]
+    bucket = bucket[:]  # read several times below: materialise it once
     centroid = tuple(
         sum(point[i] for point in bucket) / len(bucket)
         for i in range(len(bucket[0]))
@@ -128,16 +149,29 @@ def _choose_victims(bucket: list[Point], count: int, strategy: str) -> list[Poin
 def apply_repair(bob_points: list[Point], plan: RepairPlan) -> list[Point]:
     """Apply an edit script, returning Bob's repaired set ``S'_B``.
 
-    Removal is by identity-of-value with multiplicity (Bob's set is a
-    multiset of points).
+    Removal is by value with multiplicity (Bob's set is a multiset of
+    points): a victim listed ``r`` times deletes the first ``r`` equal
+    points, then the additions are appended.  The result is the list, in
+    order, that calling ``list.remove`` once per victim would leave, but
+    one counting pass costs ``O(n + removals)`` instead of
+    ``O(n · removals)``.
     """
-    repaired = list(bob_points)
+    if not plan.removals:
+        return list(bob_points) + plan.additions
+    pending: dict[Point, int] = {}
     for victim in plan.removals:
-        try:
-            repaired.remove(victim)
-        except ValueError as exc:
+        pending[victim] = pending.get(victim, 0) + 1
+    repaired: list[Point] = []
+    for point in bob_points:
+        count = pending.get(point, 0)
+        if count:
+            pending[point] = count - 1
+        else:
+            repaired.append(point)
+    for victim, count in pending.items():
+        if count:
             raise ReconciliationFailure(
                 f"repair removal {victim} not present in Bob's set"
-            ) from exc
+            )
     repaired.extend(plan.additions)
     return repaired

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy
+from repro.core.grid import ShiftedGridHierarchy, as_points
 from repro.errors import ConfigError, SerializationError
 from repro.iblt.hashing import hash_with_salt
 from repro.iblt.table import IBLT, IBLTConfig
@@ -66,21 +66,31 @@ def build_level_sketches(
 ) -> list[LevelSketch]:
     """Build every sketched level's IBLT from one pass over the points.
 
-    The grid hashes all points into their per-level keys in a single batch
-    (vectorized when numpy is available), then each level's table ingests
-    its key vector through the backend's batch path — the hot loop of the
-    whole protocol, and the reason :class:`ProtocolConfig` carries a
-    ``backend`` selection.
+    ``points`` is a tuple sequence or an ``(n, d)`` integer array.  On the
+    fast path (:meth:`ShiftedGridHierarchy.vectorized`) one
+    :class:`~repro.core.grid.VectorKeyPass` sorts the points once and each
+    level's int64 key array goes straight into the numpy backend's batch
+    insert; otherwise the grid's reference key pass produces the same keys
+    as lists.  This is the hot loop of the whole protocol, and the reason
+    :class:`ProtocolConfig` carries a ``backend`` selection.
     """
     levels = config.sketch_levels
-    keys_by_level = grid.level_keys(points, levels)
+    key_pass = (
+        grid.vector_key_pass(points)
+        if grid.vectorized(config.backend, levels)
+        else None
+    )
+    if key_pass is None:
+        keys_by_level = grid.level_keys(as_points(points), levels)
     sketches = []
     for level in levels:
         cells = cells_by_level.get(level) if cells_by_level else None
         table = IBLT(
             level_iblt_config(config, grid, level, cells), backend=config.backend
         )
-        table.insert_many(keys_by_level[level])
+        table.insert_many(
+            key_pass.keys(level) if key_pass is not None else keys_by_level[level]
+        )
         sketches.append(LevelSketch(level, table))
     return sketches
 

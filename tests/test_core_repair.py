@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.grid import ShiftedGridHierarchy
 from repro.core.repair import (
@@ -127,3 +129,66 @@ class TestApplyRepair:
         )
         repaired = apply_repair([(1, 1), (2, 2), (3, 3)], plan)
         assert len(repaired) == 3 - 1 + 2
+
+
+def apply_repair_by_remove(bob_points, plan):
+    """The original applier: one ``list.remove`` per victim, O(n·removals).
+
+    Kept as the reference :func:`apply_repair`'s counting pass must match
+    list for list, order and duplicates included.
+    """
+    repaired = list(bob_points)
+    for victim in plan.removals:
+        try:
+            repaired.remove(victim)
+        except ValueError as exc:
+            raise ReconciliationFailure(
+                f"repair removal {victim} not present in Bob's set"
+            ) from exc
+    repaired.extend(plan.additions)
+    return repaired
+
+
+# Coordinates in [0, 4) make duplicate points the common case.
+small_points = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40
+)
+
+
+class TestApplyRepairOracle:
+    @given(small_points, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_counting_pass_equals_sequential_remove(self, points, data):
+        removals = data.draw(
+            st.lists(st.sampled_from(points), max_size=len(points))
+            if points else st.just([])
+        )
+        # A drawn list may name one point more often than Bob holds it;
+        # keep only what sequential removal can honour.
+        remaining = list(points)
+        victims = []
+        for victim in removals:
+            if victim in remaining:
+                remaining.remove(victim)
+                victims.append(victim)
+        additions = data.draw(small_points)
+        plan = RepairPlan(level=0, additions=additions, removals=victims)
+        assert apply_repair(points, plan) == apply_repair_by_remove(points, plan)
+
+    @given(small_points, st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_missing_victim_raises_like_the_reference(self, points, victim):
+        # One removal more than Bob holds of ``victim``.
+        removals = [victim] * (points.count(victim) + 1)
+        plan = RepairPlan(level=0, additions=[], removals=removals)
+        with pytest.raises(ReconciliationFailure):
+            apply_repair_by_remove(points, plan)
+        with pytest.raises(ReconciliationFailure):
+            apply_repair(points, plan)
+
+    def test_first_occurrences_removed_in_order(self):
+        points = [(1, 1), (2, 2), (1, 1), (3, 3), (1, 1)]
+        plan = RepairPlan(level=0, additions=[(9, 9)], removals=[(1, 1), (1, 1)])
+        expected = [(2, 2), (3, 3), (1, 1), (9, 9)]
+        assert apply_repair(points, plan) == expected
+        assert apply_repair_by_remove(points, plan) == expected

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.iblt.decode import decode
@@ -50,16 +50,23 @@ def test_subtract_self_is_empty(keys, seed):
 
 
 @given(keys_strategy, st.integers(min_value=0, max_value=1000))
+@example({117413, 231}, 939)  # a 2-core: peeling fails in both directions
 @settings(max_examples=40)
 def test_subtract_antisymmetry(keys, seed):
-    """alice - bob peels to the mirror of bob - alice."""
+    """alice - bob peels exactly when bob - alice does, to the mirror.
+
+    Peeling is not guaranteed even for tiny sets: two keys whose cells
+    coincide form a 2-core.  Negating a table leaves which cells are pure
+    unchanged, so the property is that both directions agree.
+    """
     alice, bob = fresh_pair(seed, cells=recommended_cells(80, q=4))
     alice.insert_all(keys)
     forward = decode(alice.subtract(bob))
     backward = decode(bob.subtract(alice))
-    assert forward.success and backward.success
-    assert sorted(forward.alice_keys) == sorted(backward.bob_keys)
-    assert sorted(forward.bob_keys) == sorted(backward.alice_keys)
+    assert forward.success == backward.success
+    if forward.success:
+        assert sorted(forward.alice_keys) == sorted(backward.bob_keys)
+        assert sorted(forward.bob_keys) == sorted(backward.alice_keys)
 
 
 @given(
