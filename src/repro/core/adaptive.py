@@ -13,8 +13,14 @@ sketch is built:
    estimate (plus the coarsest level as a decode-of-last-resort).
 
 Bob then proceeds exactly like the one-round protocol on the window.
-Hashed 48-bit estimator keys keep round 1 small; the estimate only has to
+Hashed 40-bit estimator keys keep round 1 small; the estimate only has to
 be right within a factor ~2, which the window absorbs.
+
+Every estimator, stratum table and tabulation hash is a function of the
+public coins only, so both parties build them once per config (the caches
+in :mod:`repro.iblt.hashing`).  A party's estimators for all sampled levels
+come from one key pass over its points (:meth:`AdaptiveReconciler.
+_build_estimators`), and Bob's round-3 probes share one sort as well.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import ProtocolConfig
+from repro.core.grid import as_points
 from repro.core.protocol import HierarchicalReconciler, ReconcileResult
 from repro.core.repair import apply_repair, plan_repair
 from repro.core.sketch import level_iblt_config
 from repro.errors import ConfigError, ReconciliationFailure, SerializationError
 from repro.iblt.decode import decode
-from repro.iblt.hashing import hash_with_salt
+from repro.iblt.hashing import hash_with_salt, hash_with_salt_many
 from repro.iblt.strata import StrataConfig, StrataEstimator
 from repro.iblt.table import IBLT, recommended_cells
 from repro.net.bits import BitReader, BitWriter
@@ -119,18 +126,43 @@ class AdaptiveReconciler:
             seed=hash_with_salt(level, self.config.seed ^ 0xE57),
         )
 
-    def _hashed_keys(self, points, level: int):
-        mask = (1 << self.adaptive.estimator_key_bits) - 1
-        salt = self.config.seed ^ (level * 0x9E3779B9)
-        for key in self.grid.keys_for(points, level):
-            yield hash_with_salt(key, salt) & mask
+    def _build_estimators(self, points) -> dict[int, StrataEstimator]:
+        """One strata estimator per sampled level, from one key pass.
 
-    def _build_estimator(self, points, level: int) -> StrataEstimator:
-        estimator = StrataEstimator(
-            self._estimator_config(level), backend=self.config.backend
+        An estimator key is ``hash_with_salt(cell_key, salt) & mask``.  On
+        the fast path (:meth:`ShiftedGridHierarchy.vectorized`) one
+        :class:`~repro.core.grid.VectorKeyPass` sorts the points once and
+        each level's int64 keys are hashed in bulk, entering the estimator
+        as a uint64 array.  Otherwise one :meth:`ShiftedGridHierarchy.
+        level_keys` pass keys every level and each key is hashed by the
+        scalar reference.  The estimators are identical either way.
+        """
+        levels = self.sampled_levels()
+        mask = (1 << self.adaptive.estimator_key_bits) - 1
+        key_pass = (
+            self.grid.vector_key_pass(points)
+            if self.grid.vectorized(self.config.backend, levels)
+            else None
         )
-        estimator.insert_all(self._hashed_keys(points, level))
-        return estimator
+        if key_pass is None:
+            keys_by_level = self.grid.level_keys(as_points(points), levels)
+        estimators: dict[int, StrataEstimator] = {}
+        for level in levels:
+            salt = self.config.seed ^ (level * 0x9E3779B9)
+            if key_pass is not None:
+                hashed = hash_with_salt_many(key_pass.keys(level), salt)
+                hashed &= mask
+            else:
+                hashed = [
+                    hash_with_salt(key, salt) & mask
+                    for key in keys_by_level[level]
+                ]
+            estimator = StrataEstimator(
+                self._estimator_config(level), backend=self.config.backend
+            )
+            estimator.insert_all(hashed)
+            estimators[level] = estimator
+        return estimators
 
     # ---------------------------------------------------- Alice state reuse
 
@@ -141,14 +173,12 @@ class AdaptiveReconciler:
             self._window_cache.clear()
             self._cached_points = points
 
-    def _alice_estimator(self, points, level: int) -> StrataEstimator:
+    def _alice_estimators(self, points) -> dict[int, StrataEstimator]:
         if not self._reuse:
-            return self._build_estimator(points, level)
-        estimator = self._estimator_cache.get(level)
-        if estimator is None:
-            estimator = self._build_estimator(points, level)
-            self._estimator_cache[level] = estimator
-        return estimator
+            return self._build_estimators(points)
+        if not self._estimator_cache:
+            self._estimator_cache.update(self._build_estimators(points))
+        return self._estimator_cache
 
     def _alice_window_table(self, points, level: int, cells: int) -> IBLT:
         if not self._reuse:
@@ -175,8 +205,7 @@ class AdaptiveReconciler:
         if not self._reuse:
             return
         self._check_reuse_points(alice_points)
-        for level in self.sampled_levels():
-            self._alice_estimator(alice_points, level)
+        self._alice_estimators(alice_points)
 
     # -------------------------------------------------------------- round 1
 
@@ -186,32 +215,44 @@ class AdaptiveReconciler:
         writer.write_uint(REQUEST_MAGIC, 8)
         writer.write_uint(VERSION, 8)
         writer.write_varint(len(bob_points))
-        for level in self.sampled_levels():
-            self._build_estimator(bob_points, level).write_to(writer)
+        for estimator in self._build_estimators(bob_points).values():
+            estimator.write_to(writer)
         return writer.getvalue()
 
     # -------------------------------------------------------------- round 2
 
-    def alice_respond(self, request_payload: bytes, alice_points) -> bytes:
-        """Alice's reply: a sized IBLT window around the chosen level."""
+    def estimate_levels(self, request_payload: bytes, alice_points) -> dict[int, int]:
+        """Alice's estimate of the key difference at every sampled level.
+
+        Parses Bob's request in full before building anything, then
+        compares each of his estimators with hers.
+        """
         reader = BitReader(request_payload)
         if reader.read_uint(8) != REQUEST_MAGIC:
             raise SerializationError("bad magic byte; not an adaptive request")
         if reader.read_uint(8) != VERSION:
             raise SerializationError("unsupported adaptive request version")
         reader.read_varint()  # Bob's size; informational
-        self._check_reuse_points(alice_points)
-        estimates: dict[int, int] = {}
-        for level in self.sampled_levels():
-            bob_estimator = StrataEstimator.read_from(
+        theirs = {
+            level: StrataEstimator.read_from(
                 reader, self._estimator_config(level),
                 backend=self.config.backend,
             )
-            mine = self._alice_estimator(alice_points, level)
-            estimates[level] = mine.estimate_difference(bob_estimator)
+            for level in self.sampled_levels()
+        }
         reader.expect_end()
+        self._check_reuse_points(alice_points)
+        mine = self._alice_estimators(alice_points)
+        return {
+            level: mine[level].estimate_difference(bob_estimator)
+            for level, bob_estimator in theirs.items()
+        }
 
-        window = self._choose_window(estimates)
+    def alice_respond(self, request_payload: bytes, alice_points) -> bytes:
+        """Alice's reply: a sized IBLT window around the chosen level."""
+        window = self._choose_window(
+            self.estimate_levels(request_payload, alice_points)
+        )
         writer = BitWriter()
         writer.write_uint(RESPONSE_MAGIC, 8)
         writer.write_uint(VERSION, 8)
@@ -286,14 +327,17 @@ class AdaptiveReconciler:
             )
         reader.expect_end()
 
+        window.sort(key=lambda pair: pair[0])
+        bob_table, key_pass = self._one_round.bob_tables(
+            bob_points, [level for level, _ in window]
+        )
+        if key_pass is None:
+            bob_points = as_points(bob_points)
         probed: list[int] = []
-        for level, alice_table in sorted(window, key=lambda pair: pair[0]):
+        for level, alice_table in window:
             probed.append(level)
-            bob_table = self._one_round.level_table(
-                bob_points, level, alice_table.config.cells
-            )
             result = decode(
-                alice_table.subtract(bob_table),
+                alice_table.subtract(bob_table(level, alice_table)),
                 max_items=4 * alice_table.config.capacity + 8,
             )
             if not result.success:
@@ -302,7 +346,7 @@ class AdaptiveReconciler:
                 continue
             plan = plan_repair(
                 bob_points, result.alice_keys, result.bob_keys,
-                self.grid, level, strategy,
+                self.grid, level, strategy, key_pass=key_pass,
             )
             return ReconcileResult(
                 repaired=apply_repair(bob_points, plan),

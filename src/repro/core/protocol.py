@@ -194,22 +194,9 @@ class HierarchicalReconciler:
         read = read_sketch if read_sketch is not None else HierarchySketch.from_bytes
         sketch = read(payload, self.config, self.grid)
         levels = [level_sketch.level for level_sketch in sketch.levels]
-        key_pass = (
-            self.grid.vector_key_pass(bob_points)
-            if self.grid.vectorized(self.config.backend, levels)
-            else None
-        )
+        bob_table, key_pass = self.bob_tables(bob_points, levels)
         if key_pass is None:
             bob_points = as_points(bob_points)
-
-            def bob_table(level: int, alice_table: IBLT) -> IBLT:
-                return self.level_table(bob_points, level, alice_table.config.cells)
-        else:
-            def bob_table(level: int, alice_table: IBLT) -> IBLT:
-                table = IBLT(alice_table.config, backend=self.config.backend)
-                table.insert_many(key_pass.keys(level))
-                return table
-
         chosen, result, probed = probe_levels(
             sketch, len(bob_points), bob_table, self.config.decode_item_limit,
             probe,
@@ -230,6 +217,34 @@ class HierarchicalReconciler:
             alice_surplus=len(result.alice_keys),
             bob_surplus=len(result.bob_keys),
         )
+
+    def bob_tables(self, bob_points, levels):
+        """Bob's table builder for probing ``levels``, and his key pass.
+
+        Returns ``(bob_table, key_pass)``; ``bob_table(level, alice_table)``
+        builds Bob's table in the shape of Alice's.  On the fast path
+        (:meth:`ShiftedGridHierarchy.vectorized`) one
+        :class:`~repro.core.grid.VectorKeyPass` sorts the points now and
+        every call pays only that level's keys; ``key_pass`` is returned
+        for the repair planner.  Otherwise ``key_pass`` is ``None`` and
+        each call keys the points for its level alone (:meth:`level_table`).
+        """
+        key_pass = (
+            self.grid.vector_key_pass(bob_points)
+            if self.grid.vectorized(self.config.backend, levels)
+            else None
+        )
+        if key_pass is None:
+            points = as_points(bob_points)
+
+            def bob_table(level: int, alice_table: IBLT) -> IBLT:
+                return self.level_table(points, level, alice_table.config.cells)
+        else:
+            def bob_table(level: int, alice_table: IBLT) -> IBLT:
+                table = IBLT(alice_table.config, backend=self.config.backend)
+                table.insert_many(key_pass.keys(level))
+                return table
+        return bob_table, key_pass
 
 
 def probe_levels(

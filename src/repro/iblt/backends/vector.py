@@ -26,26 +26,10 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 from repro.errors import ConfigError
 from repro.iblt.backends.base import Backend
-from repro.iblt.hashing import _GOLDEN, _MIX1, _MIX2, splitmix64
+from repro.iblt.hashing import splitmix64, splitmix64_many
 
 if _np is not None:
     _U64 = _np.uint64
-    _C_GOLDEN = _U64(_GOLDEN)
-    _C_MIX1 = _U64(_MIX1)
-    _C_MIX2 = _U64(_MIX2)
-    _S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
-
-
-def _splitmix64_vec(values: "_np.ndarray") -> "_np.ndarray":
-    """Vectorized :func:`repro.iblt.hashing.splitmix64` over uint64 arrays.
-
-    uint64 arithmetic wraps mod 2^64, matching the reference's explicit
-    masking.
-    """
-    z = values + _C_GOLDEN
-    z = (z ^ (z >> _S30)) * _C_MIX1
-    z = (z ^ (z >> _S27)) * _C_MIX2
-    return z ^ (z >> _S31)
 
 
 class NumpyBackend(Backend):
@@ -72,7 +56,7 @@ class NumpyBackend(Backend):
         family = config.hash_family()
         self._partition = config.cells // config.q
         self._premixed = family.premixed_salts  # python ints (scalar path)
-        self._premixed_vec = _np.array(family.premixed_salts, dtype=_U64)
+        self._premixed_vec = family.premixed_vector  # shared, read-only
         self._premix_u64 = _U64(self._check_premix)
         self._mask_u64 = _U64(self._check_mask)
 
@@ -151,12 +135,12 @@ class NumpyBackend(Backend):
         placement — it must mirror the reference formula in
         :meth:`~repro.iblt.hashing.HashFamily.indices_from_mix` exactly.
         """
-        key_mix = _splitmix64_vec(arr)
-        checks = _splitmix64_vec(self._premix_u64 ^ key_mix) & self._mask_u64
+        key_mix = splitmix64_many(arr)
+        checks = splitmix64_many(self._premix_u64 ^ key_mix) & self._mask_u64
         partition = _U64(self._partition)
         for i in range(self.config.q):
             indices = (
-                (_splitmix64_vec(self._premixed_vec[i] ^ key_mix) % partition)
+                (splitmix64_many(self._premixed_vec[i] ^ key_mix) % partition)
                 .astype(_np.intp)
             )
             indices += i * self._partition
@@ -236,7 +220,7 @@ class NumpyBackend(Backend):
         candidates = _np.flatnonzero(_np.abs(self.counts) == 1)
         keys = self.key_sums[candidates]
         expected = (
-            _splitmix64_vec(self._premix_u64 ^ _splitmix64_vec(keys))
+            splitmix64_many(self._premix_u64 ^ splitmix64_many(keys))
             & self._mask_u64
         )
         verified = candidates[self.check_sums[candidates] == expected]

@@ -13,10 +13,21 @@ avalanche behaviour.  On top of it we build:
   IBLT,
 * :class:`TabulationHash` — simple tabulation hashing, used where stronger
   independence matters (the strata estimator's stratum assignment).
+
+With numpy, :func:`splitmix64_many`, :func:`hash_with_salt_many` and
+:meth:`TabulationHash.hash_many` hash whole uint64 arrays, bit-identical to
+the scalar functions key for key.
+
+Public-coin objects are pure functions of their parameters, so they are
+drawn once and shared: :func:`hash_family` and :func:`tabulation_hash` are
+bounded caches in front of the constructors (``IBLTConfig.hash_family`` and
+the strata estimator go through them).  A shared object is never mutated
+after construction; its numpy mirrors are built eagerly and are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.errors import BackendUnavailableError, ConfigError
@@ -31,6 +42,21 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+if _np is not None:
+    _U64 = _np.uint64
+    _C_GOLDEN = _U64(_GOLDEN)
+    _C_MIX1 = _U64(_MIX1)
+    _C_MIX2 = _U64(_MIX2)
+    _S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
+
+#: Bounds on the shared public-coin caches.  One adaptive sync touches a
+#: few dozen families (eight strata tables per sampled level, plus the
+#: window) and one tabulation table per sampled level; the bounds leave
+#: room for many configs without letting a long-lived server grow
+#: unbounded.
+FAMILY_CACHE_SIZE = 1024
+TABULATION_CACHE_SIZE = 64
 
 
 def splitmix64(value: int) -> int:
@@ -49,9 +75,36 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+def splitmix64_many(values: "_np.ndarray") -> "_np.ndarray":
+    """Vectorized :func:`splitmix64` over a uint64 array.
+
+    uint64 arithmetic wraps mod 2^64, matching the reference's explicit
+    masking; inputs already fit 64 bits, so there is nothing to fold.
+    Callers gate on numpy availability.
+    """
+    if _np is None:  # pragma: no cover - callers gate on numpy
+        raise BackendUnavailableError("splitmix64_many requires numpy")
+    z = _np.asarray(values, dtype=_U64) + _C_GOLDEN
+    z = (z ^ (z >> _S30)) * _C_MIX1
+    z = (z ^ (z >> _S27)) * _C_MIX2
+    return z ^ (z >> _S31)
+
+
 def hash_with_salt(value: int, salt: int) -> int:
     """A salted 64-bit hash: mix the salt in before and after the finaliser."""
     return splitmix64(splitmix64(salt) ^ splitmix64(value))
+
+
+def hash_with_salt_many(values: "_np.ndarray", salt: int) -> "_np.ndarray":
+    """Vectorized :func:`hash_with_salt` over a uint64 array.
+
+    The salt is a Python int of any width (mixed once, by the scalar
+    :func:`splitmix64`); the result equals ``hash_with_salt(v, salt)``
+    for every ``v``.  Callers gate on numpy availability.
+    """
+    if _np is None:  # pragma: no cover - callers gate on numpy
+        raise BackendUnavailableError("hash_with_salt_many requires numpy")
+    return splitmix64_many(_U64(splitmix64(salt)) ^ splitmix64_many(values))
 
 
 def checksum64(key: int, salt: int, width_bits: int = 32) -> int:
@@ -102,6 +155,11 @@ class HashFamily:
         # Pre-mix the salts so the per-key work is one splitmix64 of the key
         # plus one per index (identical outputs to hash_with_salt).
         self._premixed = tuple(splitmix64(salt) for salt in self._salts)
+        self._premixed_vector = None
+        if _np is not None:
+            vector = _np.array(self._premixed, dtype=_U64)
+            vector.flags.writeable = False  # shared through hash_family()
+            self._premixed_vector = vector
 
     @property
     def premixed_salts(self) -> tuple[int, ...]:
@@ -112,6 +170,12 @@ class HashFamily:
         vectorized backends reproduce cell placement from these constants.
         """
         return self._premixed
+
+    @property
+    def premixed_vector(self) -> "_np.ndarray | None":
+        """:attr:`premixed_salts` as a read-only uint64 array (``None``
+        without numpy); array backends read it instead of building one."""
+        return self._premixed_vector
 
     def indices(self, key: int) -> tuple[int, ...]:
         """Return the ``q`` distinct cell indices of ``key``."""
@@ -129,6 +193,9 @@ class HashFamily:
         if not isinstance(other, HashFamily):
             return NotImplemented
         return (self.q, self.cells, self.seed) == (other.q, other.cells, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.cells, self.seed))
 
     def __repr__(self) -> str:
         return f"HashFamily(q={self.q}, cells={self.cells}, seed={self.seed:#x})"
@@ -151,6 +218,13 @@ class TabulationHash:
         self._tables = tuple(
             tuple(rng.getrandbits(64) for _ in range(256)) for _ in range(8)
         )
+        # The (8, 256) uint64 mirror for hash_many, built here so a shared
+        # instance is never written after construction.
+        self._np_tables = None
+        if _np is not None:
+            tables = _np.array(self._tables, dtype=_U64)
+            tables.flags.writeable = False
+            self._np_tables = tables
 
     def __call__(self, value: int) -> int:
         """Hash a non-negative integer (wider inputs are folded to 64 bits)."""
@@ -166,22 +240,37 @@ class TabulationHash:
     def hash_many(self, values: "_np.ndarray") -> "_np.ndarray":
         """Hash a whole uint64 array (bit-identical to per-key ``__call__``).
 
-        Eight table-lookup gathers replace the eight Python ops per key;
-        the lookup tables are mirrored into one ``(8, 256)`` uint64 array
-        lazily on first use.  Callers gate on numpy availability.
+        Eight table-lookup gathers (over the read-only ``(8, 256)``
+        uint64 mirror) replace the eight Python ops per key.  Callers gate
+        on numpy availability.
         """
         if _np is None:  # pragma: no cover - callers gate on numpy
             raise BackendUnavailableError("TabulationHash.hash_many requires numpy")
-        tables = getattr(self, "_np_tables", None)
-        if tables is None:
-            tables = _np.array(self._tables, dtype=_np.uint64)
-            self._np_tables = tables
-        values = _np.asarray(values, dtype=_np.uint64)
-        result = _np.zeros(values.shape, dtype=_np.uint64)
-        mask = _np.uint64(0xFF)
+        tables = self._np_tables
+        values = _np.asarray(values, dtype=_U64)
+        result = _np.zeros(values.shape, dtype=_U64)
+        mask = _U64(0xFF)
         for i in range(8):
-            result ^= tables[i][(values >> _np.uint64(8 * i)) & mask]
+            result ^= tables[i][(values >> _U64(8 * i)) & mask]
         return result
+
+
+@functools.lru_cache(maxsize=FAMILY_CACHE_SIZE)
+def hash_family(q: int, cells: int, seed: int) -> HashFamily:
+    """The shared :class:`HashFamily` for ``(q, cells, seed)``.
+
+    Built by the constructor on the first request and returned from a
+    bounded LRU cache afterwards (invalid parameters raise and are not
+    cached).  Callers must treat the result as immutable.
+    """
+    return HashFamily(q, cells, seed)
+
+
+@functools.lru_cache(maxsize=TABULATION_CACHE_SIZE)
+def tabulation_hash(seed: int) -> TabulationHash:
+    """The shared :class:`TabulationHash` for ``seed`` (bounded LRU cache,
+    like :func:`hash_family`): its 2,048 table draws happen once per seed."""
+    return TabulationHash(seed)
 
 
 def trailing_zeros(value: int, limit: int) -> int:

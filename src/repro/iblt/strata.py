@@ -22,7 +22,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 from repro.errors import ConfigError, SerializationError
 from repro.iblt.decode import decode
-from repro.iblt.hashing import TabulationHash, trailing_zeros, trailing_zeros_many
+from repro.iblt.hashing import tabulation_hash, trailing_zeros, trailing_zeros_many
 from repro.iblt.table import IBLT, IBLTConfig
 from repro.net.bits import BitReader, BitWriter
 
@@ -73,7 +73,7 @@ class StrataEstimator:
 
     def __init__(self, config: StrataConfig, backend: str | None = None):
         self.config = config
-        self._stratum_hash = TabulationHash(config.seed ^ 0x57A7A)
+        self._stratum_hash = tabulation_hash(config.seed ^ 0x57A7A)
         self.tables = [
             IBLT(config.iblt_config(i), backend=backend)
             for i in range(config.strata)
@@ -86,7 +86,7 @@ class StrataEstimator:
         allocation on the serve layer's per-connection hot path)."""
         estimator = cls.__new__(cls)
         estimator.config = config
-        estimator._stratum_hash = TabulationHash(config.seed ^ 0x57A7A)
+        estimator._stratum_hash = tabulation_hash(config.seed ^ 0x57A7A)
         return estimator
 
     def _stratum_of(self, key: int) -> int:

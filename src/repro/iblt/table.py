@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError, SerializationError
 from repro.iblt.backends import Backend, resolve_backend
-from repro.iblt.hashing import HashFamily
+from repro.iblt.hashing import HashFamily, hash_family
 from repro.net.bits import BitReader, BitWriter
 from repro.net.codec import read_cells, write_cells
 
@@ -110,8 +110,12 @@ class IBLTConfig:
         return int(self.cells * threshold * DEFAULT_SAFETY)
 
     def hash_family(self) -> HashFamily:
-        """The cell-index hash family implied by this config."""
-        return HashFamily(self.q, self.cells, self.seed)
+        """The cell-index hash family implied by this config.
+
+        Shared: equal configs get the same object from the public-coin
+        cache (:func:`repro.iblt.hashing.hash_family`).
+        """
+        return hash_family(self.q, self.cells, self.seed)
 
 
 def _materialize(keys):

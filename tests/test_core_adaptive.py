@@ -13,6 +13,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import reconcile
 from repro.emd.matching import emd
 from repro.errors import ConfigError, SerializationError
+from repro.iblt.hashing import HashFamily, TabulationHash
 from repro.net.channel import SimulatedChannel
 
 
@@ -177,3 +178,31 @@ class TestWindowSelection:
         if len(non_fallback) >= 2:
             cells = [cells for _, cells in non_fallback]
             assert cells == sorted(cells, reverse=True)
+
+
+class TestPublicCoinsDrawnOnce:
+    def test_warm_sync_builds_no_hash_objects(self, monkeypatch):
+        # Hash families and tabulation tables depend only on the config, so
+        # a second sync of the same config must reuse every one of them.
+        rng = random.Random(21)
+        alice, bob = perturbed_workload(rng, 200, 6, 2**12, 2, 2)
+        config = ProtocolConfig(
+            delta=2**12, dimension=2, k=8, seed=21, backend="auto"
+        )
+        reconcile_adaptive(alice, bob, config)  # the warm-up sync
+        built = []
+        for cls in (HashFamily, TabulationHash):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        result = reconcile_adaptive(alice, bob, config)
+        assert built == []
+        assert len(result.repaired) == len(alice)
+        # The tripwire is live: a direct construction is counted.
+        HashFamily(3, 12, 21)
+        TabulationHash(21)
+        assert built == ["HashFamily", "TabulationHash"]

@@ -1,13 +1,22 @@
-"""Differential tests: the vectorized one-round path against the reference.
+"""Differential tests: the vectorized paths against the reference.
 
 ``backend="numpy"`` runs the fast path (one key pass per sync, surplus-cell
 repair planning); ``backend="pure"`` runs the pure-Python reference path.
 Both must produce the same payload bytes, the same probe order and level,
-the same edit script and the same repaired list, in order.
+the same edit script and the same repaired list, in order.  The adaptive
+variant is also checked against a run with numpy hidden altogether.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.core.adaptive import AdaptiveReconciler
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler, reconcile
 from repro.core.sketch import HierarchySketch, build_level_sketches
@@ -26,13 +35,14 @@ TRUE_K = 4
 SEED = 11
 
 
-def _workload(kind: str, noise: float):
+def _workload(kind: str, noise: float, dimension: int = 2):
     if kind == "uniform":
-        return perturbed_pair(SEED, N, 1 << 10, 2, TRUE_K, noise)
+        return perturbed_pair(SEED, N, 1 << 10, dimension, TRUE_K, noise)
     if kind == "clustered":
-        return clustered_pair(SEED, N, 1 << 10, 2, TRUE_K, noise)
-    # duplicate-heavy: 300 points on a 16 x 16 grid share cells at every level.
-    return perturbed_pair(SEED, N, 16, 2, TRUE_K, noise)
+        return clustered_pair(SEED, N, 1 << 10, dimension, TRUE_K, noise)
+    # duplicate-heavy: at d=2, 300 points on a 16 x 16 grid share cells at
+    # every level.
+    return perturbed_pair(SEED, N, 16, dimension, TRUE_K, noise)
 
 
 def _config(workload, backend: str, **overrides) -> ProtocolConfig:
@@ -132,3 +142,102 @@ def test_unknown_strategy_is_a_config_error_on_both_drivers():
         reconcile_sharded(workload.alice, workload.bob,
                           _config(workload, "numpy", shards=2),
                           strategy="nonsense")
+
+
+# ------------------------------------------------------------------ adaptive
+
+ADAPTIVE_CASES = [
+    (kind, noise, dimension)
+    for kind in ("uniform", "clustered", "duplicate-heavy")
+    for noise in (0, 2)
+    for dimension in (2, 64)
+]
+
+#: Runs every adaptive case in a child interpreter whose ``import numpy``
+#: fails, and prints the results as JSON.
+_HIDDEN_NUMPY_RUN = """
+import json, sys
+from repro.core.adaptive import AdaptiveReconciler
+from repro.core.config import ProtocolConfig
+from repro.iblt.backends import available_backends
+from repro.workloads import clustered_pair, perturbed_pair
+
+assert available_backends() == ["pure"], available_backends()
+N, K, TRUE_K, SEED = {n}, {k}, {true_k}, {seed}
+out = []
+for kind, noise, dimension in {cases!r}:
+    if kind == "uniform":
+        w = perturbed_pair(SEED, N, 1 << 10, dimension, TRUE_K, noise)
+    elif kind == "clustered":
+        w = clustered_pair(SEED, N, 1 << 10, dimension, TRUE_K, noise)
+    else:
+        w = perturbed_pair(SEED, N, 16, dimension, TRUE_K, noise)
+    config = ProtocolConfig(delta=w.delta, dimension=w.dimension, k=K,
+                            seed=SEED, backend="auto")
+    reconciler = AdaptiveReconciler(config)
+    request = reconciler.bob_request(w.bob)
+    response = reconciler.alice_respond(request, w.alice)
+    result = reconciler.bob_finish(response, w.bob)
+    out.append([request.hex(), response.hex(), result.repaired])
+json.dump(out, sys.stdout)
+"""
+
+
+def _adaptive_run(workload, backend: str):
+    """Request bytes, response bytes and repaired list of one adaptive run."""
+    reconciler = AdaptiveReconciler(_config(workload, backend))
+    request = reconciler.bob_request(workload.bob)
+    response = reconciler.alice_respond(request, workload.alice)
+    result = reconciler.bob_finish(response, workload.bob)
+    return request.hex(), response.hex(), result.repaired
+
+
+@pytest.fixture(scope="module")
+def hidden_numpy_runs(tmp_path_factory):
+    stub = tmp_path_factory.mktemp("hidden-numpy")
+    (stub / "numpy.py").write_text('raise ImportError("numpy hidden")\n')
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(stub), str(src)]))
+    script = _HIDDEN_NUMPY_RUN.format(
+        n=N, k=K, true_k=TRUE_K, seed=SEED, cases=ADAPTIVE_CASES
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=600, check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    runs = json.loads(completed.stdout)
+    return {
+        case: (request, response, [tuple(point) for point in repaired])
+        for case, (request, response, repaired) in zip(ADAPTIVE_CASES, runs)
+    }
+
+
+@pytest.mark.parametrize("kind,noise,dimension", ADAPTIVE_CASES)
+def test_adaptive_bytes_equal_across_backends(
+    kind, noise, dimension, hidden_numpy_runs
+):
+    """numpy (``auto`` at d=64, whose level keys are too wide for the numpy
+    backend; its 40-bit estimator tables still run there), pure, and numpy
+    hidden: the same request, response and repaired list."""
+    workload = _workload(kind, noise, dimension)
+    fast_backend = "numpy" if dimension == 2 else "auto"
+    fast = _adaptive_run(workload, fast_backend)
+    assert _adaptive_run(workload, "pure") == fast
+    assert hidden_numpy_runs[(kind, noise, dimension)] == fast
+    if dimension == 2:
+        reconciler = AdaptiveReconciler(_config(workload, "numpy"))
+        levels = reconciler.sampled_levels()
+        assert reconciler.grid.vectorized("numpy", levels)
+        assert not reconciler.grid.vectorized("pure", levels)
+
+
+def test_warm_alice_state_answers_with_the_same_bytes():
+    workload = _workload("clustered", 2)
+    config = _config(workload, "numpy")
+    request, response, _ = _adaptive_run(workload, "numpy")
+    warmed = AdaptiveReconciler(config, reuse_alice_state=True)
+    warmed.warm_alice(workload.alice)
+    for _ in range(2):  # estimators from warm_alice, then the window cache
+        answer = warmed.alice_respond(bytes.fromhex(request), workload.alice)
+        assert answer.hex() == response

@@ -1,15 +1,33 @@
 """Unit tests for the shared hashing layer."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.iblt.hashing import (
+    FAMILY_CACHE_SIZE,
     HashFamily,
     TabulationHash,
     checksum64,
+    hash_family,
     hash_with_salt,
+    hash_with_salt_many,
     splitmix64,
+    splitmix64_many,
+    tabulation_hash,
     trailing_zeros,
 )
+from repro.iblt.table import IBLTConfig
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - the no-numpy CI leg
+    np = None
+
+needs_numpy = pytest.mark.skipif(np is None, reason="bulk hashing needs numpy")
+
+U64_EDGES = [0, 2**63 - 1, 2**63, 2**64 - 1]
+uint64s = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 class TestSplitmix64:
@@ -90,6 +108,89 @@ class TestHashFamily:
 
     def test_repr_mentions_params(self):
         assert "q=4" in repr(HashFamily(q=4, cells=8, seed=0))
+
+    def test_hash_agrees_with_eq(self):
+        a = HashFamily(3, 30, 1)
+        b = HashFamily(3, 30, 1)
+        assert hash(a) == hash(b)
+        assert {a, b, HashFamily(3, 30, 2)} == {a, HashFamily(3, 30, 2)}
+        assert {a: "x"}[b] == "x"
+
+    @needs_numpy
+    def test_premixed_vector_is_read_only_copy_of_salts(self):
+        family = HashFamily(4, 64, 9)
+        assert family.premixed_vector.tolist() == list(family.premixed_salts)
+        with pytest.raises(ValueError):
+            family.premixed_vector[0] = 1
+
+
+class TestPublicCoinCaches:
+    def test_equal_configs_share_one_family(self):
+        a = IBLTConfig(cells=48, q=4, key_bits=40, seed=77)
+        b = IBLTConfig(cells=48, q=4, key_bits=40, seed=77)
+        assert a == b and a is not b
+        assert a.hash_family() is b.hash_family()
+        assert a.hash_family() == HashFamily(4, 48, 77)
+
+    def test_key_width_does_not_split_the_family(self):
+        # Cell placement depends on (q, cells, seed) only.
+        narrow = IBLTConfig(cells=48, q=4, key_bits=20, seed=77)
+        wide = IBLTConfig(cells=48, q=4, key_bits=64, seed=77)
+        assert narrow.hash_family() is wide.hash_family()
+
+    def test_family_cache_stays_within_bound(self):
+        assert hash_family.cache_info().maxsize == FAMILY_CACHE_SIZE
+        for seed in range(FAMILY_CACHE_SIZE + 16):
+            hash_family(3, 12, 0xCAC4E000 + seed)
+        assert hash_family.cache_info().currsize <= FAMILY_CACHE_SIZE
+
+    def test_invalid_family_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                hash_family(3, 10, 0)
+
+    def test_tabulation_hash_shared_per_seed(self):
+        assert tabulation_hash(41) is tabulation_hash(41)
+        assert tabulation_hash(41) is not tabulation_hash(42)
+        assert tabulation_hash(41)._tables == TabulationHash(41)._tables
+
+    @needs_numpy
+    def test_cached_tabulation_numpy_table_is_read_only(self):
+        tables = tabulation_hash(43)._np_tables
+        assert tables.shape == (8, 256) and not tables.flags.writeable
+        with pytest.raises(ValueError):
+            tables[0, 0] = 1
+        assert tables.tolist() == [list(row) for row in tabulation_hash(43)._tables]
+
+
+@needs_numpy
+class TestBulkHashes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(uint64s, min_size=1, max_size=40))
+    @example(U64_EDGES)
+    def test_splitmix64_many_matches_scalar(self, values):
+        bulk = splitmix64_many(np.array(values, dtype=np.uint64))
+        assert bulk.dtype == np.uint64
+        assert bulk.tolist() == [splitmix64(value) for value in values]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(uint64s, min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=2**80),
+    )
+    @example(U64_EDGES, 0)
+    @example(U64_EDGES, 2**64 - 1)
+    @example(U64_EDGES, 2**70 + 5)  # a salt wider than 64 bits is folded
+    def test_hash_with_salt_many_matches_scalar(self, values, salt):
+        bulk = hash_with_salt_many(np.array(values, dtype=np.uint64), salt)
+        assert bulk.tolist() == [hash_with_salt(value, salt) for value in values]
+
+    def test_accepts_int64_arrays(self):
+        # Grid keys arrive as non-negative int64 arrays.
+        keys = np.array([0, 5, 2**63 - 1], dtype=np.int64)
+        assert hash_with_salt_many(keys, 9).tolist() == [
+            hash_with_salt(int(key), 9) for key in keys
+        ]
 
 
 class TestTabulationHash:
